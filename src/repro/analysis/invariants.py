@@ -8,6 +8,7 @@ pointers, and detector behaviour.  Each checker raises
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Mapping
 
 from ..core.runner import ChaRun
@@ -57,14 +58,29 @@ def check_lemma6(run: ChaRun) -> None:
     (The lemma quantifies over all nodes; crashed nodes' final colours
     are not observable through surviving state, so the check covers the
     survivors — the universe the emulation cares about.)
+
+    Outputs over shared chain spines are decided once per distinct link;
+    a history found to include a red instance is re-scanned for the
+    message.
     """
     red_at: set[Instance] = {
         k for k in range(1, run.instances + 1)
         if Color.RED in run.colors_at(k).values()
     }
+    if not red_at:
+        return
+
+    def any_red(below: bool, link) -> bool:
+        return below or link.anchor in red_at
+
+    includes_red: dict = {}
     for node, log in run.outputs.items():
         for k_out, out in log:
             if out is BOTTOM:
+                continue
+            spine = out.spine()
+            if spine is not None and not spine.fold(includes_red, False,
+                                                    any_red):
                 continue
             included_reds = red_at & set(out.included_instances)
             if included_reds:
@@ -76,22 +92,50 @@ def check_lemma6(run: ChaRun) -> None:
 
 
 def check_lemma9(run: ChaRun) -> None:
-    """Every green instance is included in every later output history."""
+    """Every green instance is included in every later output history.
+
+    Per distinct chain link, the smallest green instance up to its
+    anchor that its fold lacks is computed once; an output at ``k_out``
+    then lacks that one or the first green between its top link and
+    ``k_out``.
+    """
     greens = [
         k for k in range(1, run.instances + 1)
         if Color.GREEN in run.colors_at(k).values()
     ]
+
+    def first_green_after(k: Instance) -> Instance | None:
+        i = bisect_right(greens, k)
+        return greens[i] if i < len(greens) else None
+
+    def first_missing(below: Instance | None, link) -> Instance | None:
+        if below is not None:
+            return below
+        g = first_green_after(link.parent.anchor)
+        return g if g is not None and g < link.anchor else None
+
+    missing_at: dict = {}
     for node, log in run.outputs.items():
         for k_out, out in log:
             if out is BOTTOM:
                 continue
-            for g in greens:
-                if g <= k_out and not out.includes(g):
-                    raise SpecViolation(
-                        f"Lemma 9: green instance {g} missing from node "
-                        f"{node}'s output at instance {k_out}",
-                        context={"node": node, "green": g, "at": k_out},
-                    )
+            spine = out.spine()
+            if spine is None:
+                g = next((g for g in greens
+                          if g <= k_out and not out.includes(g)), None)
+            else:
+                top = spine.prefix(k_out)
+                g = top.fold(missing_at, None, first_missing)
+                if g is None:
+                    g = first_green_after(top.anchor)
+                    if g is not None and g > k_out:
+                        g = None
+            if g is not None:
+                raise SpecViolation(
+                    f"Lemma 9: green instance {g} missing from node "
+                    f"{node}'s output at instance {k_out}",
+                    context={"node": node, "green": g, "at": k_out},
+                )
 
 
 def check_prev_pointer_discipline(run: ChaRun) -> None:

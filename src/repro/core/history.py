@@ -235,6 +235,24 @@ class HistoryChain:
             node = node.parent  # root anchors at 0, so this terminates
         return node
 
+    def fold(self, memo: dict, base, step):
+        """The fold ``f(self)`` where ``f(root) = base`` and
+        ``f(link) = step(f(link.parent), link)``.
+
+        Results are memoised in ``memo`` by link, and the walk down stops
+        at the first memoised link, so a caller folding many histories
+        over shared spines visits each distinct link once.
+        """
+        pending = []
+        node = self
+        while node.parent is not None and node not in memo:
+            pending.append(node)
+            node = node.parent
+        acc = base if node.parent is None else memo[node]
+        for link in reversed(pending):
+            acc = memo[link] = step(acc, link)
+        return acc
+
     def entries(self) -> tuple[tuple[Instance, Value], ...]:
         """The (instance, value) pairs of this fold, ascending.
 
@@ -327,6 +345,20 @@ class History:
             self._chain = chain
         return chain
 
+    def spine(self) -> HistoryChain | None:
+        """The chain this history reads its entries from, or ``None``.
+
+        ``None`` means the dict form, which keeps its own value objects
+        even once :meth:`_as_chain` has derived (interned, possibly
+        shared) links for it.  Checkers that walk spines fall back to the
+        entries for those.
+        """
+        chain = self._chain
+        if chain is None or (self._entries is not None
+                             and self._entries is not chain._entries):
+            return None
+        return chain
+
     def __reduce__(self):
         # Canonical pickle independent of representation: unpickles to
         # the dict form, never drags a live chain spine along.
@@ -338,7 +370,15 @@ class History:
 
     def __call__(self, k: Instance) -> Value:
         """``h(k)``: the value at instance ``k``, or bottom."""
-        return self._lookup_table().get(k, BOTTOM)
+        lookup = self._lookup
+        if lookup is None:
+            # Chain form: the top link answers ``h(length)`` without
+            # materialising a lookup dict.
+            chain = self._chain
+            if chain.anchor == k:
+                return chain.value
+            lookup = self._lookup_table()
+        return lookup.get(k, BOTTOM)
 
     def value_at(self, k: Instance) -> Value:
         return self(k)

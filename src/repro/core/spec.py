@@ -14,6 +14,26 @@ Checkers raise :class:`~repro.errors.SpecViolation` with enough context to
 reproduce a failure; the liveness checker instead *finds* the convergence
 instance (or reports failure), since liveness over a finite prefix is a
 measurement rather than a pass/fail property.
+
+Cost model.  Outputs of one execution share the interned
+:class:`~repro.core.history.HistoryChain` links they were folded from, so
+the checkers walk links rather than re-scanning every entry of every
+output, and memoise per link within one call:
+
+* Validity proves each distinct link valid once and stops a walk at the
+  first link already proven;
+* Agreement resolves the witness's prefix link once per distinct cut and
+  compares each history to it by identity;
+* Liveness reads, per (node, instance), one past the largest instance the
+  output lacks from the run of consecutive anchors ending at its top link.
+
+That is O(nodes x instances + distinct links) per call, and no output
+materialises a lookup dict.  Dict-form histories (the seed
+representation, e.g. under ``REPRO_REFERENCE_HISTORY``) have no spine of
+their own and are checked entry by entry.  Each fast verdict, message and
+context equals the brute-force loop's; a failing history is re-scanned
+by that loop so the error names the same entry
+(``tests/core/test_spec_oracle.py`` keeps the loops as the oracle).
 """
 
 from __future__ import annotations
@@ -22,7 +42,7 @@ from typing import Mapping, Sequence
 
 from ..errors import SpecViolation
 from ..types import BOTTOM, Instance, NodeId, Value
-from .history import History, reference_history_forced
+from .history import History, HistoryChain, reference_history_forced
 
 #: The per-node output sequence type: (instance, History or BOTTOM) pairs.
 OutputLog = Sequence[tuple[Instance, History | None]]
@@ -35,10 +55,26 @@ def check_validity(outputs: Mapping[NodeId, OutputLog],
     for node_proposals in proposals.values():
         for k, v in node_proposals.items():
             proposed_at.setdefault(k, set()).add(v)
+
+    def link_valid(below_valid: bool, link: HistoryChain) -> bool:
+        if not below_valid:
+            return False
+        try:
+            return link.value in proposed_at.get(link.anchor, ())
+        except TypeError:  # unhashable value: let the scan raise as it would
+            return False
+
+    proven: dict[HistoryChain, bool] = {}
     for node, log in outputs.items():
         for k, out in log:
             if out is BOTTOM:
                 continue
+            spine = out.spine()
+            if spine is not None and (proven.get(spine)
+                                      or spine.fold(proven, True, link_valid)):
+                continue
+            # Dict form, or an invalid link somewhere: the ascending scan
+            # names the lowest offending entry.
             for k_prime, value in out.items():
                 if value not in proposed_at.get(k_prime, ()):
                     raise SpecViolation(
@@ -107,8 +143,32 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
         return
 
     witness = max(histories, key=lambda item: item[1])
+    if use_reference:
+        for item in histories:
+            if not agrees(item[2], witness[2]):
+                _fail(item, witness)
+        return
+
+    # Fast branch: the witness's prefix link per distinct cut, in one
+    # descending walk that goes no deeper than the smallest cut, so a
+    # one-instance check stays O(1) however long the witness is.  Shared
+    # links agree by identity; anything else takes ``agrees_with``.
+    # (Dict-form histories intern their chains in the order the pairwise
+    # ``agrees_with`` loop would: first history, then the witness.)
+    w_hist = witness[2]
+    histories[0][2]._as_chain()
+    link = w_hist._as_chain()
+    witness_at: dict[Instance, HistoryChain] = {}
+    for cut in sorted({item[1] for item in histories}, reverse=True):
+        while link.anchor > cut:
+            link = link.parent
+        witness_at[cut] = link
     for item in histories:
-        if not agrees(item[2], witness[2]):
+        h = item[2]
+        # Lengths were checked above: the cut against the (longest)
+        # witness is the history's own instance.
+        if (h._as_chain().prefix(item[1]) is not witness_at[item[1]]
+                and not agrees(h, w_hist)):
             _fail(item, witness)
 
 
@@ -135,23 +195,47 @@ def find_liveness_point(outputs: Mapping[NodeId, OutputLog],
 
     # kst works iff for every k in [kst, last]: every node output a
     # non-bottom history at k that includes every instance in [kst, k].
-    def works(kst: Instance) -> bool:
-        for node in nodes:
-            for k in range(kst, last_instance + 1):
-                out = per_node[node].get(k, BOTTOM)
-                if out is BOTTOM:
-                    return False
-                if any(not out.includes(k2) for k2 in range(kst, k + 1)):
-                    return False
-        return True
+    # Equivalently, need(node, k) <= kst for all of them, where need is
+    # one past the largest instance in 1..k the output lacks (k + 1 for
+    # bottom).  need is not monotone in k, so the answer is the smallest
+    # kst whose suffix maximum of need (over k >= kst) is at most kst.
+    run_start: dict[HistoryChain, Instance] = {}
+    need_at = [0] * (last_instance + 1)
+    for node in nodes:
+        log = per_node[node]
+        for k in range(1, last_instance + 1):
+            out = log.get(k, BOTTOM)
+            if out is BOTTOM:
+                need = k + 1
+            elif (spine := out.spine()) is not None:
+                top = spine.prefix(k)
+                if top.anchor != k:
+                    need = k + 1
+                else:
+                    need = (run_start.get(top)
+                            or top.fold(run_start, 1, _run_start))
+            else:
+                need = k
+                while need and out.includes(need):
+                    need -= 1
+                need += 1
+            if need > need_at[k]:
+                need_at[k] = need
+    found = None
+    worst = 0
+    for kst in range(last_instance, 0, -1):
+        if need_at[kst] > worst:
+            worst = need_at[kst]
+        if worst <= kst:
+            found = kst
+    return found
 
-    # Scan from the smallest candidate upward; the property is monotone in
-    # practice but not by definition (a bottom at instance j only blocks
-    # kst <= j), so we simply test candidates in order.
-    for kst in range(1, last_instance + 1):
-        if works(kst):
-            return kst
-    return None
+
+def _run_start(below: Instance, link: HistoryChain) -> Instance:
+    """One past the largest instance up to ``link.anchor`` its fold lacks:
+    the lowest anchor of the run of consecutive anchors ending at
+    ``link`` (the root folds to 1: no instance is missing below 1)."""
+    return below if link.parent.anchor == link.anchor - 1 else link.anchor
 
 
 def check_liveness(outputs: Mapping[NodeId, OutputLog],

@@ -21,6 +21,7 @@ from repro.core import ChaCore, CheckpointChaCore, History
 from repro.core.ballot import Ballot
 from repro.core.cha import calculate_history, calculate_history_reference
 from repro.errors import ProtocolError
+from repro.types import BOTTOM
 
 pytestmark = pytest.mark.fast
 
@@ -89,6 +90,29 @@ def test_fold_matches_reference_on_every_observable(world, cut):
         assert h_fast.includes(k) == h_ref.includes(k)
     assert h_fast.prefix(cut) == h_ref.prefix(cut) == h_ref.prefix_reference(cut)
     assert repr(h_fast) == repr(h_ref)
+
+
+@settings(max_examples=150)
+@given(ballot_worlds())
+def test_lookup_matches_reference_on_both_forms(world):
+    """``h(k)`` and ``value_at(k)`` answer every ``k`` with the stored
+    value object, whether the chain top answers (without building a
+    lookup dict) or the lookup does."""
+    ballots, instance, prev = world
+    fast = _outcome(lambda: _fast_core(ballots, instance, prev).current_history())
+    if fast[0] != "ok":
+        return
+    chain_form = fast[1]
+    dict_form = History(chain_form.length, dict(chain_form.items()))
+    reference = dict(chain_form.items())
+    top = chain_form.last_included()
+    if top is not None:
+        assert chain_form(top) is reference[top]
+        assert chain_form._lookup is None
+    for h in (chain_form, dict_form):
+        for k in range(0, instance + 3):
+            want = reference.get(k, BOTTOM)
+            assert h(k) is want and h.value_at(k) is want, (k, h)
 
 
 @settings(max_examples=100)

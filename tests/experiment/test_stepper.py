@@ -14,6 +14,7 @@ import pytest
 from repro import (
     CHA,
     ClusterWorld,
+    EnvironmentSpec,
     ExperimentSpec,
     MajorityRSM,
     MetricsSpec,
@@ -159,3 +160,30 @@ def test_instrument_hook_fires_before_first_round():
             ExperimentSpec(protocol=ThreePhaseCommit(votes=(True,))),
             instrument=instrument,
         )
+
+
+def test_finish_materialises_no_output_lookup():
+    """The spec and lemma checkers walk the outputs' shared chain links:
+    a converged run's ``finish()`` leaves every output ``History``
+    without a lookup dict (each would cost O(instances) memory)."""
+    spec = _cha_spec(
+        world=ClusterWorld(n=8, rcf=30),
+        environment=EnvironmentSpec(adversary=RandomLossAdversary(
+            p_drop=0.2, p_false=0.05, seed=3)),
+        workload=WorkloadSpec(instances=40),
+        metrics=MetricsSpec(
+            metrics=("decided_instances", "convergence_instance"),
+            invariants=("agreement", "validity", "liveness",
+                        "lemma6", "lemma9"),
+            liveness_by=20),
+        use_reference_history=False,  # chain-form outputs under any env
+    )
+    stepper = ExperimentStepper(spec)
+    result = stepper.finish()
+    assert set(result.invariants.values()) == {"ok"}
+    assert result.metrics["convergence_instance"] > 1
+    histories = [out for proc in stepper.processes.values()
+                 for _, out in proc.outputs if out is not None]
+    assert histories
+    assert all(h.spine() is not None for h in histories)
+    assert [h for h in histories if h._lookup is not None] == []
